@@ -30,6 +30,21 @@ type CacheGeometry struct {
 	Replacement ReplacementPolicy
 }
 
+// Cache-model storage bounds, enforced by Validate.
+const (
+	// MaxCacheWays bounds a level's associativity: the cache model keeps
+	// one recency byte per way, and its LRU ranks (0..ways-1) must stay
+	// below 0x80 for the word-parallel rank updates.
+	MaxCacheWays = 128
+	// MaxCacheTag is the largest tag (line address / set count) a level
+	// can hold: tags are stored in 32 bits as tag+1, zero marking an
+	// empty way.
+	MaxCacheTag = 1<<32 - 2
+)
+
+// Sets returns the level's set count.
+func (g CacheGeometry) Sets() int { return g.SizeBytes / CacheLineSize / g.Ways }
+
 // CPUParams collects the timing and speculation parameters of the core
 // model. They are deliberately coarse: the goal is a first-order model whose
 // *relative* behaviour across footprints and page sizes matches hardware,
@@ -321,6 +336,13 @@ func (c *SystemConfig) Validate() error {
 	if err := c.STLB.validate("STLB"); err != nil {
 		return err
 	}
+	if c.PhysMemBytes < GB {
+		return errf("PhysMemBytes %d too small (need >= 1GB)", c.PhysMemBytes)
+	}
+	// Every physical address is below PhysMemBytes, so the top line must
+	// tag within 32 bits at every level: (PhysMemBytes/64 - 1) / sets
+	// <= MaxCacheTag.
+	topLine := (c.PhysMemBytes - 1) / CacheLineSize
 	for _, cg := range []struct {
 		name string
 		g    CacheGeometry
@@ -328,12 +350,13 @@ func (c *SystemConfig) Validate() error {
 		if err := cg.g.validate(cg.name); err != nil {
 			return err
 		}
+		if sets := uint64(cg.g.Sets()); topLine/sets > MaxCacheTag {
+			return errf("%s: %d sets cannot tag PhysMemBytes %d in 32 bits (need PhysMemBytes <= %d)",
+				cg.name, sets, c.PhysMemBytes, (MaxCacheTag+1)*sets*CacheLineSize)
+		}
 	}
 	if c.DRAMLatency == 0 {
 		return errf("DRAMLatency must be positive")
-	}
-	if c.PhysMemBytes < GB {
-		return errf("PhysMemBytes %d too small (need >= 1GB)", c.PhysMemBytes)
 	}
 	if c.CPU.BaseCPI <= 0 {
 		return errf("CPU.BaseCPI must be positive")
@@ -411,6 +434,9 @@ func (g TLBGeometry) validate(name string) error {
 func (g CacheGeometry) validate(name string) error {
 	if g.SizeBytes <= 0 || g.Ways <= 0 {
 		return errf("%s: size and ways must be positive", name)
+	}
+	if g.Ways > MaxCacheWays {
+		return errf("%s: %d ways exceeds the %d-way maximum", name, g.Ways, MaxCacheWays)
 	}
 	lines := g.SizeBytes / CacheLineSize
 	if g.SizeBytes%CacheLineSize != 0 || lines%g.Ways != 0 {

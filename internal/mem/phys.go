@@ -32,7 +32,9 @@ const (
 )
 
 // physBase is the first physical address handed out. Leaving page zero
-// unused catches null-physical-address bugs in the page-table code.
+// unused catches null-physical-address bugs in the page-table code. The
+// top of memory stays at the limit, so every handed-out address is below
+// it (the cache model's tag width relies on that bound).
 const physBase = 1 << arch.PageShift4K
 
 // group is one 2 MB span of the chunk directory: direct-indexed chunk
@@ -113,7 +115,7 @@ func NewPhysNUMA(limitBytes uint64, nodes int) *Phys {
 		dir:   make([]*group, (physBase+limitBytes+groupBytes-1)>>(chunkShift+groupShift)),
 	}
 	if nodes == 1 {
-		p.nodes = []nodeAlloc{{start: physBase, end: physBase + limitBytes, next: physBase}}
+		p.nodes = []nodeAlloc{{start: physBase, end: limitBytes, next: physBase}}
 		return p
 	}
 	stride := arch.AlignDown(limitBytes/uint64(nodes), arch.Page1G.Bytes())
@@ -132,7 +134,7 @@ func NewPhysNUMA(limitBytes uint64, nodes int) *Phys {
 		}
 		end := uint64(i+1) * stride
 		if i == nodes-1 {
-			end = physBase + limitBytes
+			end = limitBytes
 		}
 		p.nodes[i] = nodeAlloc{start: start, end: end, next: start}
 	}

@@ -21,29 +21,47 @@ type Entry struct {
 	Size arch.PageSize
 }
 
-const invalidVPN = math.MaxUint64
+// emptyKey marks an empty way; no vpn<<2|size key reaches it, since the
+// size field is at most 2.
+const emptyKey = math.MaxUint64
 
-type way struct {
-	vpn   uint64
-	frame arch.PAddr
+// key packs a translation's identity into one word, so a way matches
+// with one compare.
+func key(vpn uint64, ps arch.PageSize) uint64 { return vpn<<2 | uint64(ps) }
+
+// probe is one page size a TLB holds, with its VPN shift.
+type probe struct {
+	shift uint
 	size  arch.PageSize
-	stamp uint64
 }
 
 // TLB is one set-associative translation cache. A TLB may hold a single
 // page size (split L1 arrays) or several (unified STLB); the set index and
 // tag are derived from the VPN at each entry's own page size, and lookups
 // probe once per size the TLB holds.
+//
+// Way i of set s lives at index s*ways+i of three parallel arrays, so a
+// probe scans one contiguous run of keys and reads the frame and stamp
+// only on a hit.
 type TLB struct {
-	sets  int
-	ways  int
-	holds [arch.NumPageSizes]bool
-	data  []way
-	clock uint64
+	ways   int
+	keys   []uint64 // key(vpn, size), or emptyKey
+	frames []arch.PAddr
+	stamps []uint64 // LRU: the clock at the way's last reference
+	clock  uint64
+	// live counts valid ways, so a lookup in an empty array (the 4 KB
+	// L1 TLB of a run on 2 MB pages) returns without scanning.
+	live int
+
+	// probes lists the held sizes smallest first, so a lookup visits
+	// only those.
+	probes []probe
+	holds  [arch.NumPageSizes]bool
 
 	// mask is sets-1 when the set count is a power of two (every Table
 	// III TLB geometry), turning the per-lookup set index into an AND;
 	// the modulo path remains for arbitrary geometries.
+	sets uint64
 	mask uint64
 	pow2 bool
 }
@@ -53,7 +71,7 @@ func (t *TLB) setBase(vpn uint64) uint64 {
 	if t.pow2 {
 		return (vpn & t.mask) * uint64(t.ways)
 	}
-	return (vpn % uint64(t.sets)) * uint64(t.ways)
+	return (vpn % t.sets) * uint64(t.ways)
 }
 
 // New builds a TLB from its geometry, holding the given page sizes.
@@ -63,17 +81,24 @@ func New(g arch.TLBGeometry, sizes ...arch.PageSize) *TLB {
 	if g.Entries == 0 {
 		return t
 	}
-	t.sets = g.Entries / g.Ways
+	t.sets = uint64(g.Entries / g.Ways)
 	t.ways = g.Ways
-	if t.sets > 0 && t.sets&(t.sets-1) == 0 {
-		t.pow2, t.mask = true, uint64(t.sets-1)
+	if t.sets&(t.sets-1) == 0 {
+		t.pow2, t.mask = true, t.sets-1
 	}
-	t.data = make([]way, g.Entries)
-	for i := range t.data {
-		t.data[i].vpn = invalidVPN
+	t.keys = make([]uint64, g.Entries)
+	t.frames = make([]arch.PAddr, g.Entries)
+	t.stamps = make([]uint64, g.Entries)
+	for i := range t.keys {
+		t.keys[i] = emptyKey
 	}
 	for _, s := range sizes {
 		t.holds[s] = true
+	}
+	for ps := arch.Page4K; ps < arch.NumPageSizes; ps++ {
+		if t.holds[ps] {
+			t.probes = append(t.probes, probe{shift: ps.Shift(), size: ps})
+		}
 	}
 	return t
 }
@@ -86,24 +111,21 @@ func (t *TLB) Holds(ps arch.PageSize) bool { return t.holds[ps] }
 //
 //atlint:hotpath
 func (t *TLB) Lookup(va arch.VAddr) (Entry, bool) {
-	if t.sets == 0 {
+	t.clock++
+	if t.live == 0 {
 		return Entry{}, false
 	}
-	t.clock++
-	for ps := arch.Page4K; ps < arch.NumPageSizes; ps++ {
-		if !t.holds[ps] {
-			continue
-		}
-		vpn := arch.PageNumber(va, ps)
+	for _, p := range t.probes {
+		vpn := uint64(va) >> p.shift
+		k := key(vpn, p.size)
 		base := t.setBase(vpn)
 		// Slice the set once so the way scan runs without bounds checks
 		// (this probe sits on every simulated memory access).
-		set := t.data[base : base+uint64(t.ways)]
-		for w := range set {
-			e := &set[w]
-			if e.vpn == vpn && e.size == ps {
-				e.stamp = t.clock
-				return Entry{VPN: vpn, Frame: e.frame, Size: ps}, true
+		for w, got := range t.keys[base : base+uint64(t.ways)] {
+			if got == k {
+				i := base + uint64(w)
+				t.stamps[i] = t.clock
+				return Entry{VPN: vpn, Frame: t.frames[i], Size: p.size}, true
 			}
 		}
 	}
@@ -114,47 +136,53 @@ func (t *TLB) Lookup(va arch.VAddr) (Entry, bool) {
 // size, evicting the set's LRU entry if needed. Inserting a translation
 // that is already present refreshes it in place.
 func (t *TLB) Insert(va arch.VAddr, frame arch.PAddr, ps arch.PageSize) {
-	if t.sets == 0 || !t.holds[ps] {
+	if !t.holds[ps] {
 		return
 	}
 	t.clock++
 	vpn := arch.PageNumber(va, ps)
+	k := key(vpn, ps)
 	base := t.setBase(vpn)
-	set := t.data[base : base+uint64(t.ways)]
+	end := base + uint64(t.ways)
+	keys, stamps := t.keys[base:end], t.stamps[base:end]
+	// The victim is the first empty way, else the oldest stamp.
 	victim := 0
 	oldest := uint64(math.MaxUint64)
-	for w := range set {
-		e := &set[w]
-		if e.vpn == vpn && e.size == ps {
-			e.frame = frame
-			e.stamp = t.clock
+	for w, got := range keys {
+		if got == k {
+			t.frames[base+uint64(w)] = frame
+			stamps[w] = t.clock
 			return
 		}
-		if e.vpn == invalidVPN {
+		if got == emptyKey {
 			if oldest != 0 {
 				victim, oldest = w, 0
 			}
 			continue
 		}
-		if e.stamp < oldest {
-			victim, oldest = w, e.stamp
+		if stamps[w] < oldest {
+			victim, oldest = w, stamps[w]
 		}
 	}
-	set[victim] = way{vpn: vpn, frame: frame, size: ps, stamp: t.clock}
+	if keys[victim] == emptyKey {
+		t.live++
+	}
+	keys[victim], stamps[victim] = k, t.clock
+	t.frames[base+uint64(victim)] = frame
 }
 
 // InvalidatePage drops the translation of va at the given size if present.
 func (t *TLB) InvalidatePage(va arch.VAddr, ps arch.PageSize) {
-	if t.sets == 0 || !t.holds[ps] {
+	if !t.holds[ps] {
 		return
 	}
 	vpn := arch.PageNumber(va, ps)
+	k := key(vpn, ps)
 	base := t.setBase(vpn)
-	for w := 0; w < t.ways; w++ {
-		e := &t.data[base+uint64(w)]
-		if e.vpn == vpn && e.size == ps {
-			e.vpn = invalidVPN
-			e.stamp = 0
+	for i := base; i < base+uint64(t.ways); i++ {
+		if t.keys[i] == k {
+			t.keys[i], t.stamps[i] = emptyKey, 0
+			t.live--
 		}
 	}
 }
@@ -166,27 +194,21 @@ func (t *TLB) InvalidatePage(va arch.VAddr, ps arch.PageSize) {
 // indistinguishable from a fresh one.
 func (t *TLB) Reset() {
 	t.Flush()
+	clear(t.frames)
 	t.clock = 0
 }
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	for i := range t.data {
-		t.data[i].vpn = invalidVPN
-		t.data[i].stamp = 0
+	for i := range t.keys {
+		t.keys[i] = emptyKey
 	}
+	clear(t.stamps)
+	t.live = 0
 }
 
 // Live returns the number of valid entries (test/debug helper).
-func (t *TLB) Live() int {
-	n := 0
-	for i := range t.data {
-		if t.data[i].vpn != invalidVPN {
-			n++
-		}
-	}
-	return n
-}
+func (t *TLB) Live() int { return t.live }
 
 // Level says where a hierarchy lookup was satisfied.
 type Level uint8

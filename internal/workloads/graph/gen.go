@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"atscale/internal/workloads"
@@ -22,47 +23,39 @@ const (
 	kronC = 0.19
 )
 
-// edge is one generated edge (host-side, transient).
-type edge struct{ u, v uint32 }
-
-// genURand generates 2^scale vertices with degree*2^scale uniform random
-// edges, the gapbs "-u" generator.
-func genURand(scale uint64, rng *workloads.RNG) []edge {
-	n := uint64(1) << scale
-	m := degree * n
-	edges := make([]edge, 0, m)
-	for i := uint64(0); i < m; i++ {
-		edges = append(edges, edge{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
-	}
-	return edges
+// edgeStream yields a generator's edges one at a time. Copying a stream
+// replays the rest of its sequence, which lets CSR construction make two
+// passes (degrees, then neighbours) without ever holding the edge list.
+type edgeStream struct {
+	kron  bool
+	scale uint64
+	rng   workloads.RNG
 }
 
-// genKron generates an R-MAT/Kronecker graph (the gapbs "-g" generator):
-// each edge recursively descends the 2x2 initiator matrix, yielding a
-// skewed, scale-free degree distribution.
-func genKron(scale uint64, rng *workloads.RNG) []edge {
-	n := uint64(1) << scale
-	m := degree * n
-	edges := make([]edge, 0, m)
-	for i := uint64(0); i < m; i++ {
-		var u, v uint64
-		for bit := uint64(0); bit < scale; bit++ {
-			p := rng.Float64()
-			switch {
-			case p < kronA:
-				// top-left: no bits set
-			case p < kronA+kronB:
-				v |= 1 << bit
-			case p < kronA+kronB+kronC:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
-		edges = append(edges, edge{uint32(u), uint32(v)})
+// next returns the following edge: uniform random endpoints (the gapbs
+// "-u" generator), or an R-MAT/Kronecker descent of the 2x2 initiator
+// matrix (the gapbs "-g" generator), which yields a skewed, scale-free
+// degree distribution.
+func (s *edgeStream) next() (u, v uint32) {
+	n := uint64(1) << s.scale
+	if !s.kron {
+		return uint32(s.rng.Intn(n)), uint32(s.rng.Intn(n))
 	}
-	return edges
+	for bit := uint64(0); bit < s.scale; bit++ {
+		p := s.rng.Float64()
+		switch {
+		case p < kronA:
+			// top-left: no bits set
+		case p < kronA+kronB:
+			v |= 1 << bit
+		case p < kronA+kronB+kronC:
+			u |= 1 << bit
+		default:
+			u |= 1 << bit
+			v |= 1 << bit
+		}
+	}
+	return u, v
 }
 
 // hostCSR is the host-side CSR built during setup, before the graph is
@@ -73,57 +66,55 @@ type hostCSR struct {
 	nbr []uint32 // off[n]
 }
 
-// buildHostCSR symmetrizes the edge list (gapbs treats these graphs as
-// undirected), drops self-loops, sorts each adjacency list, and removes
-// duplicate edges.
-func buildHostCSR(n uint64, edges []edge) hostCSR {
-	deg := make([]uint64, n+1)
-	for _, e := range edges {
-		if e.u == e.v {
-			continue
-		}
-		deg[e.u]++
-		deg[e.v]++
-	}
+// buildHostCSR consumes m edges of the stream, symmetrizes them (gapbs
+// treats these graphs as undirected), drops self-loops, sorts each
+// adjacency list, and removes duplicate edges.
+func buildHostCSR(n, m uint64, edges edgeStream) hostCSR {
 	off := make([]uint64, n+1)
+	fill := edges // the second pass replays the same edges
+	for i := uint64(0); i < m; i++ {
+		if u, v := edges.next(); u != v {
+			off[u]++
+			off[v]++
+		}
+	}
+	// Degrees to exclusive prefix sums: off[u] becomes u's first slot.
 	var sum uint64
 	for i := uint64(0); i < n; i++ {
-		off[i] = sum
-		sum += deg[i]
+		off[i], sum = sum, sum+off[i]
 	}
 	off[n] = sum
 	nbr := make([]uint32, sum)
 	pos := append([]uint64(nil), off...)
-	for _, e := range edges {
-		if e.u == e.v {
+	for i := uint64(0); i < m; i++ {
+		u, v := fill.next()
+		if u == v {
 			continue
 		}
-		nbr[pos[e.u]] = e.v
-		pos[e.u]++
-		nbr[pos[e.v]] = e.u
-		pos[e.v]++
+		nbr[pos[u]] = v
+		pos[u]++
+		nbr[pos[v]] = u
+		pos[v]++
 	}
-	// Sort and dedupe each adjacency list in place.
+	// Sort and dedupe each adjacency list in place; off is rewritten as
+	// it goes, each entry only after its old value was read.
 	w := uint64(0)
-	newOff := make([]uint64, n+1)
+	lo := off[0]
 	for u := uint64(0); u < n; u++ {
-		newOff[u] = w
-		lo, hi := off[u], off[u+1]
+		hi := off[u+1]
+		off[u] = w
 		list := nbr[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		var last uint32
-		first := true
-		for _, v := range list {
-			if first || v != last {
+		slices.Sort(list)
+		for i, v := range list {
+			if i == 0 || v != list[i-1] {
 				nbr[w] = v
 				w++
-				first = false
-				last = v
 			}
 		}
+		lo = hi
 	}
-	newOff[n] = w
-	return hostCSR{n: n, off: newOff, nbr: nbr[:w]}
+	off[n] = w
+	return hostCSR{n: n, off: off, nbr: nbr[:w]}
 }
 
 // relabelByDegree returns a copy of g with vertices renumbered by
@@ -135,12 +126,11 @@ func (g hostCSR) relabelByDegree() hostCSR {
 		order[i] = uint32(i)
 	}
 	degOf := func(u uint32) uint64 { return g.off[u+1] - g.off[u] }
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := degOf(order[i]), degOf(order[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := cmp.Compare(degOf(b), degOf(a)); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	newID := make([]uint32, g.n)
 	for rank, old := range order {
@@ -155,8 +145,7 @@ func (g hostCSR) relabelByDegree() hostCSR {
 			out.nbr[w] = newID[g.nbr[e]]
 			w++
 		}
-		list := out.nbr[out.off[rank]:w]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(out.nbr[out.off[rank]:w])
 	}
 	out.off[g.n] = w
 	return out
@@ -213,15 +202,11 @@ func generateRelabeled(gen string, scale uint64) hostCSR {
 }
 
 func generateUncached(gen string, scale uint64) hostCSR {
-	rng := workloads.NewRNG(scale*1315423911 + uint64(len(gen)))
-	var edges []edge
-	switch gen {
-	case "urand":
-		edges = genURand(scale, rng)
-	case "kron":
-		edges = genKron(scale, rng)
-	default:
+	if gen != "urand" && gen != "kron" {
 		panic("graph: unknown generator " + gen)
 	}
-	return buildHostCSR(uint64(1)<<scale, edges)
+	n := uint64(1) << scale
+	edges := edgeStream{kron: gen == "kron", scale: scale,
+		rng: *workloads.NewRNG(scale*1315423911 + uint64(len(gen)))}
+	return buildHostCSR(n, degree*n, edges)
 }
