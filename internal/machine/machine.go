@@ -12,6 +12,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"atscale/internal/arch"
@@ -523,6 +524,49 @@ func (m *Machine) Poke64(va arch.VAddr, v uint64) {
 // Peek64 reads the word at va without simulating the access.
 func (m *Machine) Peek64(va arch.VAddr) uint64 {
 	return m.phys.Read64(m.quietTranslate(va))
+}
+
+// PokeSlice writes vals, widened to 8-byte words, to consecutive words
+// from va, untimed: the batched form of a Poke64 loop. It translates
+// once per 4 KB page, at the page's first written word, in ascending
+// order — the loop's exact prefault sequence — and stores the page's
+// words through one physical-memory lookup.
+func PokeSlice[T uint32 | uint64](m *Machine, va arch.VAddr, vals []T) {
+	for len(vals) > 0 {
+		b := m.quietSpan(va, uint64(len(vals)))
+		k := len(b) / 8
+		for i, v := range vals[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+		vals = vals[k:]
+		va += arch.VAddr(len(b))
+	}
+}
+
+// PokeFill writes v to the n consecutive words from va, untimed, a page
+// at a time as PokeSlice does.
+func (m *Machine) PokeFill(va arch.VAddr, n uint64, v uint64) {
+	for n > 0 {
+		b := m.quietSpan(va, n)
+		for i := 0; i < len(b); i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], v)
+		}
+		n -= uint64(len(b)) / 8
+		va += arch.VAddr(len(b))
+	}
+}
+
+// quietSpan quietly translates va and returns the backing bytes of the
+// words from va to the lesser of n words and the end of va's 4 KB page.
+func (m *Machine) quietSpan(va arch.VAddr, n uint64) []byte {
+	if va&7 != 0 {
+		panic(fmt.Sprintf("machine: unaligned quiet write at %#x", uint64(va)))
+	}
+	bytes := arch.Page4K.Bytes() - uint64(va-arch.PageBase(va, arch.Page4K))
+	if n*8 < bytes {
+		bytes = n * 8
+	}
+	return m.phys.Span(m.quietTranslate(va), bytes)
 }
 
 // quietSlots sizes the quiet translation cache (a power of two; 4096

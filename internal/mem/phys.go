@@ -325,6 +325,18 @@ func (p *Phys) Write64(pa arch.PAddr, v uint64) {
 	binary.LittleEndian.PutUint64(c[off:off+8], v)
 }
 
+// Span returns the backing bytes of [pa, pa+n), materializing their
+// chunk as Write64 would: the batched form of Write64 for a caller that
+// stores many words of one page. pa must be 8-byte aligned and the span
+// must not cross a chunk (4 KB) boundary.
+func (p *Phys) Span(pa arch.PAddr, n uint64) []byte {
+	off := uint64(pa) & (chunkBytes - 1)
+	if pa&7 != 0 || off+n > chunkBytes {
+		panic(fmt.Sprintf("mem: Span(%#x, %d) unaligned or crosses a chunk", uint64(pa), n))
+	}
+	return p.chunk(pa)[off : off+n]
+}
+
 // CopyRange copies n bytes from src to dst (both chunk-aligned, n a
 // multiple of the chunk size). Untouched source chunks are skipped — the
 // destination reads as zero there anyway.

@@ -41,9 +41,7 @@ func (b *bfs) Run(budget uint64) {
 // expires.
 func (b *bfs) trial(bud *workloads.Budget) {
 	// Inter-trial reset is untimed, like the resets between gapbs trials.
-	for i := uint64(0); i < b.g.N; i++ {
-		b.dist.Poke(i, inf)
-	}
+	b.dist.Fill(inf)
 	src := b.rng.Intn(b.g.N)
 	b.dist.Set(src, 0)
 	b.queue.Set(0, src)

@@ -28,12 +28,8 @@ func loadCSR(m *machine.Machine, h hostCSR) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range h.off {
-		off.Poke(uint64(i), v)
-	}
-	for i, v := range h.nbr {
-		nbr.Poke(uint64(i), uint64(v))
-	}
+	workloads.PokeAll(off, h.off)
+	workloads.PokeAll(nbr, h.nbr)
 	return &CSR{m: m, N: h.n, M: uint64(len(h.nbr)), off: off, nbr: nbr}, nil
 }
 

@@ -5,9 +5,11 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"atscale/internal/workloads"
@@ -23,13 +25,33 @@ const (
 	kronC = 0.19
 )
 
-// edgeStream yields a generator's edges one at a time. Copying a stream
-// replays the rest of its sequence, which lets CSR construction make two
-// passes (degrees, then neighbours) without ever holding the edge list.
+// edgeStream yields a generator's edges one at a time. Every edge
+// consumes a fixed number of RNG draws, so at(i) jumps straight to edge
+// i: CSR construction regenerates any range of edges — once to count
+// degrees, once to scatter neighbours — without ever holding the edge
+// list.
 type edgeStream struct {
 	kron  bool
 	scale uint64
 	rng   workloads.RNG
+}
+
+// newEdgeStream returns the stream of a generator name at a scale,
+// seeded deterministically per (generator, scale).
+func newEdgeStream(gen string, scale uint64) edgeStream {
+	return edgeStream{kron: gen == "kron", scale: scale,
+		rng: *workloads.NewRNG(scale*1315423911 + uint64(len(gen)))}
+}
+
+// at returns a copy of s advanced past i edges: next draws two values
+// per edge under urand and one per bit of scale under kron.
+func (s edgeStream) at(i uint64) edgeStream {
+	draws := uint64(2)
+	if s.kron {
+		draws = s.scale
+	}
+	s.rng.Skip(i * draws)
+	return s
 }
 
 // next returns the following edge: uniform random endpoints (the gapbs
@@ -66,88 +88,201 @@ type hostCSR struct {
 	nbr []uint32 // off[n]
 }
 
+// forkJoin runs body(w) for every w in [0, workers) and returns when all
+// have finished. One worker runs on the calling goroutine, more on their
+// own. A worker's panic is re-raised on the calling goroutine once every
+// worker has stopped, so a recover above the caller contains it; left on
+// the worker goroutine it would kill the process past every recover.
+func forkJoin(workers int, body func(w int)) {
+	if workers == 1 {
+		body(0)
+		return
+	}
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		failure any
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if failure == nil {
+						failure = r
+					}
+					mu.Unlock()
+				}
+			}()
+			body(w)
+		}()
+	}
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
+}
+
+// splitByEntries cuts the vertices of a CSR with offsets off into
+// workers contiguous ranges of about equal neighbour-entry counts (kron's
+// hubs make equal vertex counts lopsided). Range w is [cuts[w], cuts[w+1]).
+func splitByEntries(off []uint64, workers int) []uint64 {
+	n := len(off) - 1
+	cuts := make([]uint64, workers+1)
+	for w := 1; w < workers; w++ {
+		target := off[n] * uint64(w) / uint64(workers)
+		cuts[w] = uint64(sort.Search(n, func(u int) bool { return off[u] >= target }))
+	}
+	cuts[workers] = uint64(n)
+	return cuts
+}
+
 // buildHostCSR consumes m edges of the stream, symmetrizes them (gapbs
 // treats these graphs as undirected), drops self-loops, sorts each
-// adjacency list, and removes duplicate edges.
-func buildHostCSR(n, m uint64, edges edgeStream) hostCSR {
-	off := make([]uint64, n+1)
-	fill := edges // the second pass replays the same edges
-	for i := uint64(0); i < m; i++ {
-		if u, v := edges.next(); u != v {
-			off[u]++
-			off[v]++
-		}
+// adjacency list, and removes duplicate edges. The passes split over
+// workers goroutines, first by edge range, then by vertex range. Every
+// list is sorted before it is kept, so the order the scatter wrote it in
+// never reaches the result: any worker count builds the same bytes.
+//
+// Each worker holds an n-entry array of 32-bit degree counts, later its
+// scatter cursors. At most m/n workers run, so those arrays total at most
+// m entries — half the size of nbr — whatever the host's core count.
+func buildHostCSR(n, m uint64, edges edgeStream, workers int) hostCSR {
+	if 2*m > math.MaxUint32 {
+		panic(fmt.Sprintf("graph: %d edges overflow the 32-bit slot cursors", m))
 	}
-	// Degrees to exclusive prefix sums: off[u] becomes u's first slot.
-	var sum uint64
-	for i := uint64(0); i < n; i++ {
-		off[i], sum = sum, sum+off[i]
-	}
-	off[n] = sum
-	nbr := make([]uint32, sum)
-	pos := append([]uint64(nil), off...)
-	for i := uint64(0); i < m; i++ {
-		u, v := fill.next()
-		if u == v {
-			continue
-		}
-		nbr[pos[u]] = v
-		pos[u]++
-		nbr[pos[v]] = u
-		pos[v]++
-	}
-	// Sort and dedupe each adjacency list in place; off is rewritten as
-	// it goes, each entry only after its old value was read.
-	w := uint64(0)
-	lo := off[0]
-	for u := uint64(0); u < n; u++ {
-		hi := off[u+1]
-		off[u] = w
-		list := nbr[lo:hi]
-		slices.Sort(list)
-		for i, v := range list {
-			if i == 0 || v != list[i-1] {
-				nbr[w] = v
-				w++
+	workers = max(1, min(workers, int(m/n)))
+	first := func(w int) uint64 { return m * uint64(w) / uint64(workers) }
+	// Each worker counts the degrees its edge range contributes.
+	cnt := make([][]uint32, workers)
+	forkJoin(workers, func(w int) {
+		c := make([]uint32, n)
+		s := edges.at(first(w))
+		for i, end := first(w), first(w+1); i < end; i++ {
+			if u, v := s.next(); u != v {
+				c[u]++
+				c[v]++
 			}
 		}
-		lo = hi
+		cnt[w] = c
+	})
+	// Counts to offsets: off[u] becomes u's first slot and cnt[w][u] the
+	// slot where worker w's entries for u start, so the workers scatter
+	// into disjoint slots without synchronizing.
+	off := make([]uint64, n+1)
+	var sum uint32
+	for u := uint64(0); u < n; u++ {
+		off[u] = uint64(sum)
+		for _, c := range cnt {
+			c[u], sum = sum, sum+c[u]
+		}
+	}
+	off[n] = uint64(sum)
+	nbr := make([]uint32, sum)
+	forkJoin(workers, func(w int) {
+		pos := cnt[w]
+		s := edges.at(first(w))
+		for i, end := first(w), first(w+1); i < end; i++ {
+			u, v := s.next()
+			if u == v {
+				continue
+			}
+			nbr[pos[u]] = v
+			pos[u]++
+			nbr[pos[v]] = u
+			pos[v]++
+		}
+	})
+	// Sort and dedupe each list, compacting each vertex range in place
+	// from its first slot and rewriting off as it goes. A worker never
+	// writes its range's first offset, the one its neighbour reads last.
+	cuts := splitByEntries(off, workers)
+	kept := make([]uint64, workers)
+	forkJoin(workers, func(k int) {
+		lo, hi := cuts[k], cuts[k+1]
+		w, end := off[lo], off[lo]
+		for u := lo; u < hi; u++ {
+			start := end
+			end = off[u+1]
+			if u > lo {
+				off[u] = w
+			}
+			list := nbr[start:end]
+			slices.Sort(list)
+			w += uint64(copy(nbr[w:], slices.Compact(list)))
+		}
+		kept[k] = w - off[lo]
+	})
+	// Close the gaps between ranges: each moves down to follow the one
+	// before it, and its offsets shift with it.
+	var w uint64
+	for k := 0; k < workers; k++ {
+		lo, hi := cuts[k], cuts[k+1]
+		from := off[lo]
+		copy(nbr[w:], nbr[from:from+kept[k]])
+		for u := lo; u < hi; u++ {
+			off[u] = off[u] - from + w
+		}
+		w += kept[k]
 	}
 	off[n] = w
 	return hostCSR{n: n, off: off, nbr: nbr[:w]}
 }
 
 // relabelByDegree returns a copy of g with vertices renumbered by
-// descending degree — the gapbs triangle-counting optimization the paper
-// credits for tc-kron's graceful scaling (§V-A).
+// descending degree, ties by ascending id — the gapbs triangle-counting
+// optimization the paper credits for tc-kron's graceful scaling (§V-A).
 func (g hostCSR) relabelByDegree() hostCSR {
-	order := make([]uint32, g.n)
-	for i := range order {
-		order[i] = uint32(i)
+	return g.relabel(runtime.GOMAXPROCS(0))
+}
+
+// relabel is relabelByDegree over workers goroutines. A counting sort by
+// degree, stable in vertex id, yields the rank order in linear time;
+// then each worker gathers and sorts the lists of a range of ranks.
+func (g hostCSR) relabel(workers int) hostCSR {
+	deg := func(u uint64) uint64 { return g.off[u+1] - g.off[u] }
+	var maxDeg uint64
+	for u := uint64(0); u < g.n; u++ {
+		maxDeg = max(maxDeg, deg(u))
 	}
-	degOf := func(u uint32) uint64 { return g.off[u+1] - g.off[u] }
-	slices.SortFunc(order, func(a, b uint32) int {
-		if c := cmp.Compare(degOf(b), degOf(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	// next[d] counts the vertices of degree d, then becomes the rank of
+	// the next one: every vertex of a higher degree ranks before them.
+	next := make([]uint64, maxDeg+1)
+	for u := uint64(0); u < g.n; u++ {
+		next[deg(u)]++
+	}
+	var rank uint64
+	for d := maxDeg + 1; d > 0; d-- {
+		next[d-1], rank = rank, rank+next[d-1]
+	}
+	order := make([]uint32, g.n)
 	newID := make([]uint32, g.n)
-	for rank, old := range order {
-		newID[old] = uint32(rank)
+	for u := uint64(0); u < g.n; u++ {
+		r := next[deg(u)]
+		next[deg(u)]++
+		order[r] = uint32(u)
+		newID[u] = uint32(r)
 	}
 	out := hostCSR{n: g.n, off: make([]uint64, g.n+1), nbr: make([]uint32, len(g.nbr))}
 	var w uint64
-	for rank := uint64(0); rank < g.n; rank++ {
-		out.off[rank] = w
-		old := order[rank]
-		for e := g.off[old]; e < g.off[old+1]; e++ {
-			out.nbr[w] = newID[g.nbr[e]]
-			w++
-		}
-		slices.Sort(out.nbr[out.off[rank]:w])
+	for r := uint64(0); r < g.n; r++ {
+		out.off[r] = w
+		w += deg(uint64(order[r]))
 	}
 	out.off[g.n] = w
+	cuts := splitByEntries(out.off, workers)
+	forkJoin(workers, func(k int) {
+		for r := cuts[k]; r < cuts[k+1]; r++ {
+			old := uint64(order[r])
+			list := out.nbr[out.off[r]:out.off[r+1]]
+			for i, v := range g.nbr[g.off[old]:g.off[old+1]] {
+				list[i] = newID[v]
+			}
+			slices.Sort(list)
+		}
+	})
 	return out
 }
 
@@ -167,12 +302,16 @@ var (
 )
 
 type genEntry struct {
-	once sync.Once
-	h    hostCSR
+	mu sync.Mutex
+	//atlint:guardedby mu
+	done bool
+	//atlint:guardedby mu
+	h hostCSR
 }
 
 // cached returns the memoized CSR for key, building it at most once even
-// under concurrent callers.
+// under concurrent callers. A build that panics memoizes nothing: the
+// panic reaches its caller, and the next caller builds again.
 func cached(key string, build func() hostCSR) hostCSR {
 	genMu.Lock()
 	e, ok := genCache[key]
@@ -181,7 +320,12 @@ func cached(key string, build func() hostCSR) hostCSR {
 		genCache[key] = e
 	}
 	genMu.Unlock()
-	e.once.Do(func() { e.h = build() })
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.done {
+		e.h = build()
+		e.done = true
+	}
 	return e.h
 }
 
@@ -206,7 +350,5 @@ func generateUncached(gen string, scale uint64) hostCSR {
 		panic("graph: unknown generator " + gen)
 	}
 	n := uint64(1) << scale
-	edges := edgeStream{kron: gen == "kron", scale: scale,
-		rng: *workloads.NewRNG(scale*1315423911 + uint64(len(gen)))}
-	return buildHostCSR(n, degree*n, edges)
+	return buildHostCSR(n, degree*n, newEdgeStream(gen, scale), runtime.GOMAXPROCS(0))
 }

@@ -34,10 +34,7 @@ func newPR(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	init := math.Float64bits(1 / float64(g.N))
-	for i := uint64(0); i < g.N; i++ {
-		rank.Poke(i, init)
-	}
+	rank.Fill(math.Float64bits(1 / float64(g.N)))
 	return &pr{m: m, g: g, rank: rank, next: next}, nil
 }
 

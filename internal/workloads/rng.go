@@ -10,14 +10,17 @@ type RNG struct{ s uint64 }
 // degenerate.
 func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
+		seed = gamma
 	}
 	return &RNG{s: seed}
 }
 
+// gamma is the splitmix64 increment: every draw adds it to the state.
+const gamma = 0x9E3779B97F4A7C15
+
 // Next returns the next 64-bit value.
 func (r *RNG) Next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
+	r.s += gamma
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -31,3 +34,8 @@ func (r *RNG) Intn(n uint64) uint64 { return r.Next() % n }
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
+
+// Skip advances the generator past k draws in O(1): the state after k
+// draws is the seed plus k increments, so parallel input builders can
+// start each worker at its own offset of one stream.
+func (r *RNG) Skip(k uint64) { r.s += k * gamma }

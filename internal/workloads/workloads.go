@@ -240,6 +240,18 @@ func (a Array) Poke(i uint64, v uint64) {
 	a.m.Poke64(a.Addr(i), v)
 }
 
+// PokeAll writes vals to elements [0, len(vals)) of a untimed (setup
+// phase), a page at a time.
+func PokeAll[T uint32 | uint64](a Array, vals []T) {
+	if uint64(len(vals)) > a.n {
+		panic(fmt.Sprintf("workloads: %d values for %d elements", len(vals), a.n))
+	}
+	machine.PokeSlice(a.m, a.base, vals)
+}
+
+// Fill writes v to every element untimed, a page at a time.
+func (a Array) Fill(v uint64) { a.m.PokeFill(a.base, a.n, v) }
+
 // Peek reads element i untimed (setup phase).
 func (a Array) Peek(i uint64) uint64 {
 	a.check(i)
