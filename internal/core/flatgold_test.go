@@ -32,8 +32,10 @@ const flatgoldDir = "testdata/flatgold"
 // deliberately crosses every walker/page-table/policy dimension the
 // refactor touches: the radix walker at 4/5 levels, all three page-size
 // policies, hashed page tables, nested paging at both EPT leaf sizes,
-// and WCPI-guided promotion (which exercises machine-internal state the
-// quiet path caches).
+// WCPI-guided promotion (which exercises machine-internal state the
+// quiet path caches), and every translation-scheme backend (victima,
+// mitosis and the no-replication radix baseline on two NUMA nodes,
+// dramcache).
 type flatgoldCase struct {
 	name     string
 	workload string
@@ -61,7 +63,24 @@ func flatgoldCases() []flatgoldCase {
 				c.SamplePeriod = refuteSamplePeriod
 				c.SampleBuffer = refuteSampleRing
 			}},
+		{name: "scheme-victima", workload: "mcf-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.System.Scheme = "victima" }},
+		{name: "scheme-mitosis", workload: "gups-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { numaScheme(c, "mitosis") }},
+		{name: "scheme-dramcache", workload: "mcf-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.System.Scheme = "dramcache" }},
+		{name: "scheme-radix-numa2", workload: "gups-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { numaScheme(c, "radix") }},
 	}
+}
+
+// numaScheme puts a case on two NUMA nodes under the named scheme, with
+// migrations frequent enough that walks run on both nodes inside the
+// measured region.
+func numaScheme(c *RunConfig, name string) {
+	c.System.Scheme = name
+	c.System.NUMA.Nodes = 2
+	c.System.NUMA.MigrateEvery = 5_000
 }
 
 // flatgoldCounters renders one case's full result as a stable text
