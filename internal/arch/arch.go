@@ -101,6 +101,20 @@ func (p PageSize) LeafLevel() Level {
 	panic(fmt.Sprintf("arch: invalid page size %d", p))
 }
 
+// PageSize is the inverse of PageSize.LeafLevel: the size of a mapping
+// whose leaf sits at this level (PT 4 KB, PD 2 MB, PDPT 1 GB).
+func (l Level) PageSize() PageSize {
+	switch l {
+	case LevelPT:
+		return Page4K
+	case LevelPD:
+		return Page2M
+	case LevelPDPT:
+		return Page1G
+	}
+	panic("arch: no page size at level " + l.String())
+}
+
 // WalkLength returns the number of page-table loads a walker performs for a
 // full 4-level walk (no paging-structure-cache hits) that ends in a leaf of
 // this size: 4 for 4 KB, 3 for 2 MB, 2 for 1 GB.

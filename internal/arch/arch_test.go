@@ -42,6 +42,20 @@ func TestPageSizeLeafLevel(t *testing.T) {
 	}
 }
 
+func TestLevelPageSizeInvertsLeafLevel(t *testing.T) {
+	for ps := Page4K; ps < NumPageSizes; ps++ {
+		if got := ps.LeafLevel().PageSize(); got != ps {
+			t.Errorf("%v.LeafLevel().PageSize() = %v", ps, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("LevelPML4.PageSize() did not panic")
+		}
+	}()
+	LevelPML4.PageSize()
+}
+
 func TestPageSizeStringRoundTrip(t *testing.T) {
 	for ps := Page4K; ps < NumPageSizes; ps++ {
 		got, err := ParsePageSize(ps.String())

@@ -8,22 +8,15 @@ import (
 )
 
 // TestAccessZeroAllocs pins the hierarchy's allocation contract: demand
-// accesses and batched walker loads (AccessN) never touch the heap.
+// accesses and walker PTE loads never touch the heap.
 func TestAccessZeroAllocs(t *testing.T) {
 	cfg := arch.DefaultSystem()
 	h := NewHierarchy(&cfg)
 	rng := rand.New(rand.NewSource(1))
-	var (
-		pas [5]arch.PAddr
-		lat [5]uint64
-		loc [5]HitLoc
-	)
 	step := func() {
-		h.Access(arch.PAddr(rng.Uint64() % (1 << 30)))
-		for i := range pas {
-			pas[i] = arch.PAddr(rng.Uint64() % (1 << 30))
+		for i := 0; i < 6; i++ {
+			h.Access(arch.PAddr(rng.Uint64() % (1 << 30)))
 		}
-		h.AccessN(pas[:], 2, 1<<20, lat[:], loc[:])
 	}
 	for i := 0; i < 100; i++ {
 		step()

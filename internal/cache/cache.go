@@ -441,30 +441,6 @@ func (h *Hierarchy) Access(pa arch.PAddr) (latency uint64, loc HitLoc) {
 	return h.dram, HitMem
 }
 
-// AccessN performs the loads at pas[0..] in order, each charged its
-// hierarchy latency plus overhead cycles, and stops after the load whose
-// accumulated cost first exceeds budget (the walker's abort semantics:
-// the over-budget load still happened and mutated cache state; loads
-// after it never issue). Per-load latency and hit location land in
-// lat[i]/loc[i]. It returns the number of loads performed and the total
-// cycles accrued, identical to n sequential Access calls with the same
-// early-exit rule — the batched form exists so the page-table walker's
-// per-level loop stays inside one call frame.
-//
-//atlint:hotpath
-func (h *Hierarchy) AccessN(pas []arch.PAddr, overhead, budget uint64, lat []uint64, loc []HitLoc) (n int, cycles uint64) {
-	for i, pa := range pas {
-		l, where := h.Access(pa)
-		lat[i], loc[i] = l, where
-		cycles += l + overhead
-		n++
-		if cycles > budget {
-			break
-		}
-	}
-	return n, cycles
-}
-
 // Reset restores every level to its just-constructed state.
 func (h *Hierarchy) Reset() {
 	h.l1.Reset()

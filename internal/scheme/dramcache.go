@@ -109,22 +109,22 @@ type dramCache struct {
 	dram    uint64 // cfg.DRAMLatency, the cost Access charged for HitMem
 
 	// dcHits / dcMisses are per-walk probe scratch (accumulated by
-	// adjustLoad, copied into the Result after charging).
+	// AdjustLoad, copied into the Result after charging).
 	//
 	//atlint:noreset per-walk scratch: Walk zeroes both before accumulating, so nothing survives into the next walk
 	dcHits, dcMisses uint16
 
 	trk   *telemetry.Track
 	clock func() uint64
-	pt    path
+	pt    walker.Path
 }
 
-// adjustLoad implements loadAdjuster: SRAM hits are untouched; an
+// AdjustLoad implements walker.LoadAdjuster: SRAM hits are untouched; an
 // SRAM-missing load probes the stacked die's tags. Hierarchy Access
 // charged exactly dram for a HitMem load, so a tag hit reprices it to
 // hitLat with a hitLat-dram delta and a miss adds the tag-check penalty
 // and fills the block.
-func (c *dramCache) adjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
+func (c *dramCache) AdjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
 	if loc != cache.HitMem {
 		return 0
 	}
@@ -144,14 +144,14 @@ func (c *dramCache) adjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
 //atlint:hotpath
 func (c *dramCache) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Result {
 	var r walker.Result
-	traceBegin(c.trk, c.clock)
+	walker.TraceBegin(c.trk, c.clock)
 	c.dcHits, c.dcMisses = 0, 0
 	level, base := c.psc.LookupDeepest(va, arch.LevelPT, cr3)
 	r.GuestPSCHit = level != c.psc.Top()
-	c.pt.resolve(c.phys, va, level, base)
-	chargePath(&c.pt, c.caches, c.psc, va, budget, c, &r, c.trk, true)
+	c.pt.Resolve(c.phys, va, level, base)
+	c.pt.Charge(c.caches, c.psc, va, budget, c, &r, c.trk, true)
 	r.DCHits, r.DCMisses = c.dcHits, c.dcMisses
-	traceEnd(c.trk, &r)
+	walker.TraceEnd(c.trk, &r)
 	return r
 }
 

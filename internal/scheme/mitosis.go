@@ -81,7 +81,7 @@ type numaWalker struct {
 	replicate bool
 	replicas  []*pagetable.Table
 
-	// sawRemote is per-walk scratch: set by adjustLoad when any PTE
+	// sawRemote is per-walk scratch: set by AdjustLoad when any PTE
 	// load was homed off the walking node.
 	//
 	//atlint:noreset per-walk scratch: Walk clears it on entry before any load is charged
@@ -89,8 +89,8 @@ type numaWalker struct {
 
 	trk   *telemetry.Track
 	clock func() uint64
-	pt    path // primary descent scratch
-	mpt   path // master-fallback descent scratch
+	pt    walker.Path // primary descent scratch
+	mpt   walker.Path // master-fallback descent scratch
 }
 
 func newNUMAWalker(d Deps, psc *mmucache.PSC, replicate bool) *numaWalker {
@@ -107,10 +107,10 @@ func newNUMAWalker(d Deps, psc *mmucache.PSC, replicate bool) *numaWalker {
 	}
 }
 
-// adjustLoad implements loadAdjuster: an off-node PTE load marks the
+// AdjustLoad implements walker.LoadAdjuster: an off-node PTE load marks the
 // walk remote, and pays the interconnect penalty when it reaches DRAM
 // (SRAM hits are on-chip regardless of the line's home).
-func (w *numaWalker) adjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
+func (w *numaWalker) AdjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
 	if w.phys.NodeOf(pa) != w.node {
 		w.sawRemote = true
 		if loc == cache.HitMem {
@@ -125,7 +125,7 @@ func (w *numaWalker) adjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
 //atlint:hotpath
 func (w *numaWalker) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Result {
 	var r walker.Result
-	traceBegin(w.trk, w.clock)
+	walker.TraceBegin(w.trk, w.clock)
 	w.sawRemote = false
 
 	// Primary descent: the local replica when this node has one, the
@@ -138,25 +138,25 @@ func (w *numaWalker) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.R
 	}
 	level, base := w.psc.LookupDeepest(va, arch.LevelPT, root)
 	r.GuestPSCHit = level != w.psc.Top()
-	w.pt.resolve(w.phys, va, level, base)
+	w.pt.Resolve(w.phys, va, level, base)
 
-	if w.pt.ok || !onReplica {
-		chargePath(&w.pt, w.caches, w.psc, va, budget, w, &r, w.trk, true)
+	if w.pt.OK() || !onReplica {
+		w.pt.Charge(w.caches, w.psc, va, budget, w, &r, w.trk, true)
 		if r.OK && w.replicate && w.node != 0 && !onReplica {
 			// A master-served walk on a non-zero node warms the replica
 			// (the OS-side sync Mitosis performs off the critical path).
-			w.installReplica(va, w.pt.frame, sizeAtLevel(w.pt.leaf))
+			w.installReplica(va, r.Frame, r.Size)
 		}
 	} else {
 		// Replica miss: charge the replica prefix the hardware read
 		// before discovering the hole, then walk the master from its
 		// root (the remote walk replication exists to avoid) and sync
 		// the replica on success.
-		if aborted := chargePath(&w.pt, w.caches, w.psc, va, budget, w, &r, w.trk, false); !aborted {
-			w.mpt.resolve(w.phys, va, w.psc.Top(), cr3)
-			chargePath(&w.mpt, w.caches, w.psc, va, budget, w, &r, w.trk, true)
+		if aborted := w.pt.Charge(w.caches, w.psc, va, budget, w, &r, w.trk, false); !aborted {
+			w.mpt.Resolve(w.phys, va, w.psc.Top(), cr3)
+			w.mpt.Charge(w.caches, w.psc, va, budget, w, &r, w.trk, true)
 			if r.OK {
-				w.installReplica(va, w.mpt.frame, sizeAtLevel(w.mpt.leaf))
+				w.installReplica(va, r.Frame, r.Size)
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func (w *numaWalker) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.R
 			r.Replica = walker.ReplicaLocal
 		}
 	}
-	traceEnd(w.trk, &r)
+	walker.TraceEnd(w.trk, &r)
 	return r
 }
 

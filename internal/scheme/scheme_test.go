@@ -313,8 +313,9 @@ func TestDramCacheColdWalkCycles(t *testing.T) {
 	va := arch.VAddr(0x4000_0000)
 	f.mapPage(t, va, arch.Page4K)
 
-	// Every cold PTE load misses all SRAM levels (DRAMLatency each),
-	// probes the stacked die, and misses it (tag-check penalty each).
+	// Every cold PTE load misses all SRAM levels, probes the stacked
+	// die, and misses it: the radix walk's cost plus one tag-check
+	// penalty per load.
 	r := f.inst.Walk(va, f.pt.Root(), walker.NoBudget)
 	if !r.OK || r.Loads != 4 {
 		t.Fatalf("cold walk = %+v", r)
@@ -322,7 +323,13 @@ func TestDramCacheColdWalkCycles(t *testing.T) {
 	if r.DCMisses != 4 || r.DCHits != 0 {
 		t.Fatalf("cold walk stacked-die accounting: hits=%d misses=%d, want 0/4", r.DCHits, r.DCMisses)
 	}
-	want := 4 * (f.cfg.DRAMLatency + c.missPen + stepOverhead)
+	if r.Locs[cache.HitMem] != 4 {
+		t.Fatalf("cold walk locs = %v, want every load served by memory", r.Locs)
+	}
+	rf := newFixture(t, "radix", nil)
+	rf.mapPage(t, va, arch.Page4K)
+	radix := rf.inst.Walk(va, rf.pt.Root(), walker.NoBudget)
+	want := radix.Cycles + 4*c.missPen
 	if r.Cycles != want {
 		t.Errorf("cold walk cycles = %d, want %d", r.Cycles, want)
 	}
@@ -332,17 +339,17 @@ func TestDramCacheHitReprices(t *testing.T) {
 	f := newFixture(t, "dramcache", nil)
 	c := f.inst.(*dramCache)
 	pa := arch.PAddr(0x1234_5000)
-	if d := c.adjustLoad(pa, cache.HitMem); d != int64(c.missPen) {
+	if d := c.AdjustLoad(pa, cache.HitMem); d != int64(c.missPen) {
 		t.Errorf("first probe delta = %d, want miss penalty %d", d, c.missPen)
 	}
-	if d := c.adjustLoad(pa, cache.HitMem); d != int64(c.hitLat)-int64(c.dram) {
+	if d := c.AdjustLoad(pa, cache.HitMem); d != int64(c.hitLat)-int64(c.dram) {
 		t.Errorf("second probe delta = %d, want %d", d, int64(c.hitLat)-int64(c.dram))
 	}
 	if c.dcHits != 1 || c.dcMisses != 1 {
 		t.Errorf("accounting = %d/%d, want 1 hit 1 miss", c.dcHits, c.dcMisses)
 	}
 	// SRAM-served loads never probe the die.
-	if d := c.adjustLoad(pa, cache.HitL2); d != 0 || c.dcHits != 1 {
+	if d := c.AdjustLoad(pa, cache.HitL2); d != 0 || c.dcHits != 1 {
 		t.Errorf("SRAM-served load probed the die (delta %d, hits %d)", d, c.dcHits)
 	}
 }

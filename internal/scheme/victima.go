@@ -5,7 +5,6 @@ import (
 	"atscale/internal/cache"
 	"atscale/internal/mem"
 	"atscale/internal/mmucache"
-	"atscale/internal/pagetable"
 	"atscale/internal/perf"
 	"atscale/internal/refute"
 	"atscale/internal/telemetry"
@@ -87,57 +86,41 @@ type victima struct {
 
 	trk   *telemetry.Track
 	clock func() uint64
-	pt    path
+	pt    walker.Path
 }
 
 // Walk implements walker.Engine: probe the PTE-block directory first; a
-// hit short-circuits to the single leaf load, a miss takes the normal
-// radix walk (PSC entry point included) and, under pressure, installs
-// the block.
+// hit short-circuits to the single leaf load (a one-step descent from the
+// cached PT page), a miss takes the normal radix walk (PSC entry point
+// included) and, under pressure, installs the block.
 //
 //atlint:hotpath
 func (v *victima) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Result {
 	var r walker.Result
-	traceBegin(v.trk, v.clock)
+	walker.TraceBegin(v.trk, v.clock)
 	r.BlockProbed = true
 	block := uint64(va) >> arch.PageShift2M
 	if base, ok := v.dir.lookup(block); ok {
-		r.BlockHit = true
-		a := pagetable.EntryAddr(base, arch.LevelPT, va)
-		lat, loc := v.caches.Access(a)
-		r.Cycles = lat + stepOverhead
-		r.Loads, r.GuestLoads = 1, 1
-		r.Locs[loc]++
-		r.LeafLoc = loc
-		if v.trk != nil {
-			v.trk.Slice(levelName(arch.LevelPT), lat+stepOverhead, traceLocArg, locName(loc))
-		}
-		if r.Cycles > budget {
-			traceEnd(v.trk, &r)
-			return r
-		}
-		r.Completed = true
 		// The cached block located the PT page; the leaf entry itself may
 		// still be non-present (a not-yet-faulted page sharing the block)
 		// — that is a page fault, and the post-fault retry hits the block
 		// again with the entry now filled in.
-		if e := pagetable.PTE(v.phys.Read64(a)); e.Present() && e.IsLeaf(arch.LevelPT) {
-			r.OK, r.Frame, r.Size = true, e.Frame(), arch.Page4K
-		}
-		traceEnd(v.trk, &r)
-		return r
+		r.BlockHit = true
+		v.pt.Resolve(v.phys, va, arch.LevelPT, base)
+	} else {
+		level, base := v.psc.LookupDeepest(va, arch.LevelPT, cr3)
+		r.GuestPSCHit = level != v.psc.Top()
+		v.pt.Resolve(v.phys, va, level, base)
 	}
-	level, base := v.psc.LookupDeepest(va, arch.LevelPT, cr3)
-	r.GuestPSCHit = level != v.psc.Top()
-	v.pt.resolve(v.phys, va, level, base)
-	chargePath(&v.pt, v.caches, v.psc, va, budget, nil, &r, v.trk, true)
-	if r.OK && v.pt.leaf == arch.LevelPT && r.Loads >= victimaInsertMinLoads {
-		// The walk's last entry address sits inside the leaf PT page;
-		// its 4 KB base is the block payload.
-		ptPage := arch.PAddr(arch.AlignDown(uint64(v.pt.ea[v.pt.steps-1]), arch.Page4K.Bytes()))
-		v.dir.insert(block, ptPage)
+	v.pt.Charge(v.caches, v.psc, va, budget, nil, &r, v.trk, true)
+	// A block hit is one load, so only a miss-path walk can pass the
+	// pressure gate.
+	if r.OK && r.Size == arch.Page4K && r.Loads >= victimaInsertMinLoads {
+		// The walk's leaf entry sits inside the PT page; its 4 KB base is
+		// the block payload.
+		v.dir.insert(block, arch.PAddr(arch.AlignDown(uint64(v.pt.LastEntry()), arch.Page4K.Bytes())))
 	}
-	traceEnd(v.trk, &r)
+	walker.TraceEnd(v.trk, &r)
 	return r
 }
 

@@ -73,9 +73,6 @@ func NewNested(phys *mem.Phys, eptRoot arch.PAddr, eptPages arch.PageSize, nc *m
 	}
 }
 
-// Caches exposes the nested walk-serving caches (machine wiring, tests).
-func (w *Nested) Caches() *mmucache.Nested { return w.nc }
-
 // SetTrace attaches the guest and EPT timeline sub-tracks. clock
 // supplies simulated-cycle timestamps for walk starts.
 func (w *Nested) SetTrace(guest, ept *telemetry.Track, clock func() uint64) {
@@ -131,7 +128,7 @@ func (w *Nested) eptTranslate(gpa arch.PAddr, r *Result, budget uint64) (arch.PA
 		r.EPTLoads++
 		r.EPTLocs[loc]++
 		if w.etrk != nil {
-			w.etrk.Slice(levelName(level), lat+stepOverhead, traceLocArg, locName(loc))
+			w.etrk.Slice(level.String(), lat+stepOverhead, traceLocArg, locName(loc))
 		}
 		if r.Cycles > budget {
 			w.etrk.EndArg(traceOutcome, outcomeAbort)
@@ -143,7 +140,7 @@ func (w *Nested) eptTranslate(gpa arch.PAddr, r *Result, budget uint64) (arch.PA
 			return 0, 0, eptViolation
 		}
 		if e.IsLeaf(level) {
-			size := sizeAtLevel(level)
+			size := level.PageSize()
 			w.nc.NTLB.Insert(arch.PAddr(arch.PageBase(gva, size)), e.Frame(), size)
 			r.EPTWalks++
 			w.etrk.EndArg(traceOutcome, outcomeOK)
@@ -188,7 +185,7 @@ func (w *Nested) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) Result {
 		r.Locs[loc]++
 		r.LeafLoc = loc
 		if w.gtrk != nil {
-			w.gtrk.Slice(levelName(level), lat+stepOverhead, traceLocArg, locName(loc))
+			w.gtrk.Slice(level.String(), lat+stepOverhead, traceLocArg, locName(loc))
 		}
 		if r.Cycles > budget {
 			w.gtrk.EndArg(traceOutcome, outcomeAbort)
@@ -201,7 +198,7 @@ func (w *Nested) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) Result {
 			return r // guest page fault
 		}
 		if e.IsLeaf(level) {
-			gsize := sizeAtLevel(level)
+			gsize := level.PageSize()
 			gframe := e.Frame()
 			// Final dimension crossing: translate the data page's
 			// guest-physical address.

@@ -18,13 +18,8 @@ import (
 	"atscale/internal/cache"
 	"atscale/internal/mem"
 	"atscale/internal/mmucache"
-	"atscale/internal/pagetable"
 	"atscale/internal/telemetry"
 )
-
-// stepOverhead is the fixed per-level cost of the walker state machine on
-// top of the PTE load latency.
-const stepOverhead = 2
 
 // NoBudget makes Walk run to completion.
 const NoBudget = math.MaxUint64
@@ -109,20 +104,6 @@ const (
 	ReplicaRemote
 )
 
-// sizeAtLevel maps a leaf level to its page size (PT->4KB, PD->2MB,
-// PDPT->1GB).
-func sizeAtLevel(level arch.Level) arch.PageSize {
-	switch level {
-	case arch.LevelPT:
-		return arch.Page4K
-	case arch.LevelPD:
-		return arch.Page2M
-	case arch.LevelPDPT:
-		return arch.Page1G
-	}
-	panic("walker: no page size at level " + level.String())
-}
-
 // Engine is the hardware translation engine the core drives on a TLB
 // miss. The radix Walker is the production implementation; the hashed
 // walker (hashed.go) implements the alternative page-table organization
@@ -135,53 +116,6 @@ type Engine interface {
 	// InvalidateBlock drops partial-walk state covering va's 2 MB block
 	// (hugepage promotion's PDE shootdown).
 	InvalidateBlock(va arch.VAddr)
-}
-
-// Trace argument and outcome names (constant strings so recording never
-// allocates).
-const (
-	traceWalk     = "walk"
-	traceLocArg   = "loc"
-	traceOutcome  = "outcome"
-	outcomeOK     = "ok"
-	outcomeFault  = "fault"
-	outcomeAbort  = "aborted"
-	outcomeNoWalk = "ept-violation"
-	traceEPTWalk  = "ept walk"
-	traceNTLBHit  = "ntlb hit"
-	traceProbe    = "probe"
-	traceHash     = "hash"
-)
-
-// levelName returns the timeline slice name of a radix level's PTE load.
-func levelName(l arch.Level) string {
-	switch l {
-	case arch.LevelPT:
-		return "PT"
-	case arch.LevelPD:
-		return "PD"
-	case arch.LevelPDPT:
-		return "PDPT"
-	case arch.LevelPML4:
-		return "PML4"
-	case arch.LevelPML5:
-		return "PML5"
-	}
-	return "level?"
-}
-
-// locName returns the timeline argument naming a PTE load's cache
-// outcome.
-func locName(loc cache.HitLoc) string {
-	switch loc {
-	case cache.HitL1:
-		return "L1"
-	case cache.HitL2:
-		return "L2"
-	case cache.HitL3:
-		return "L3"
-	}
-	return "DRAM"
 }
 
 // Walker is the radix hardware walker plus its paging-structure caches.
@@ -202,9 +136,6 @@ type Walker struct {
 func New(phys *mem.Phys, psc *mmucache.PSC, caches *cache.Hierarchy) *Walker {
 	return &Walker{phys: phys, psc: psc, caches: caches}
 }
-
-// PSC exposes the paging-structure caches (for invalidation on unmap).
-func (w *Walker) PSC() *mmucache.PSC { return w.psc }
 
 // SetTrace attaches (or, with a nil track, detaches) the walker's
 // timeline track. clock supplies simulated-cycle timestamps for walk
@@ -228,93 +159,21 @@ func (w *Walker) InvalidateBlock(va arch.VAddr) {
 	w.psc.InvalidatePrefix(arch.LevelPD, va)
 }
 
-// maxSteps is the longest radix path (five-level paging, PML5 → PT).
-const maxSteps = 5
-
 // Walk resolves va against the page table rooted at cr3. budget bounds the
 // cycles the walk may consume before being aborted (pass NoBudget for
-// demand walks, which always run to completion).
-//
-// The walk is single-pass over the radix path: each level's entry address
-// is computed exactly once, and the path is resolved first with raw
-// physical reads (architecturally invisible — phys.Read64 touches no
-// cache or counter state) before the PTE loads are charged in one
-// Hierarchy.AccessN call. The observable outcome — cache state, PSC
-// contents, latencies, abort point — is identical to the per-level loop
-// it replaced; the flatgold differential tests hold it to that.
+// demand walks, which always run to completion). The walk enters the
+// radix path at the deepest paging-structure-cache hit, then resolves and
+// charges it with the shared walk loop (Path).
 //
 //atlint:hotpath
 func (w *Walker) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) Result {
 	var r Result
-	if w.trk != nil {
-		w.trk.Sync(w.clock())
-		w.trk.Begin(traceWalk)
-	}
+	TraceBegin(w.trk, w.clock)
 	level, base := w.psc.LookupDeepest(va, arch.LevelPT, cr3)
 	r.GuestPSCHit = level != w.psc.Top()
-
-	// Resolve the path: entry addresses, per-step levels, and the frame
-	// each non-terminal step descends into. The path ends at a leaf, a
-	// non-present entry (fault), or never early — budget abortion is
-	// decided by the charging pass below.
-	var (
-		ea     [maxSteps]arch.PAddr
-		frames [maxSteps]arch.PAddr
-		lvls   [maxSteps]arch.Level
-		lat    [maxSteps]uint64
-		loc    [maxSteps]cache.HitLoc
-	)
-	steps, ok := 0, false
-	var leafLevel arch.Level
-	var frame arch.PAddr
-	for {
-		a := pagetable.EntryAddr(base, level, va)
-		ea[steps], lvls[steps] = a, level
-		steps++
-		e := pagetable.PTE(w.phys.Read64(a))
-		if !e.Present() {
-			break // page fault at this step
-		}
-		if e.IsLeaf(level) {
-			ok, frame, leafLevel = true, e.Frame(), level
-			break
-		}
-		frames[steps-1] = e.Frame()
-		base = e.Frame()
-		level--
-	}
-
-	// Charge the PTE loads through the cache hierarchy; AccessN stops
-	// after the load that first exceeds the budget, so loads past an
-	// abort never touch cache state.
-	n, cycles := w.caches.AccessN(ea[:steps], stepOverhead, budget, lat[:], loc[:])
-	r.Cycles = cycles
-	r.Loads, r.GuestLoads = n, n
-	for i := 0; i < n; i++ {
-		r.Locs[loc[i]]++
-		if w.trk != nil {
-			w.trk.Slice(levelName(lvls[i]), lat[i]+stepOverhead, traceLocArg, locName(loc[i]))
-		}
-	}
-	r.LeafLoc = loc[n-1]
-	// Every step the walk descended past feeds the paging-structure
-	// caches: that is steps 0..n-2 whether the last performed step
-	// terminated (leaf/fault) or aborted on budget.
-	for i := 0; i+1 < n; i++ {
-		w.psc.Insert(lvls[i], va, frames[i])
-	}
-	if cycles > budget {
-		w.trk.EndArg(traceOutcome, outcomeAbort)
-		return r // aborted: Completed stays false
-	}
-	r.Completed = true
-	if !ok {
-		w.trk.EndArg(traceOutcome, outcomeFault)
-		return r // page fault
-	}
-	r.OK = true
-	r.Frame = frame
-	r.Size = sizeAtLevel(leafLevel)
-	w.trk.EndArg(traceOutcome, outcomeOK)
+	var p Path
+	p.Resolve(w.phys, va, level, base)
+	p.Charge(w.caches, w.psc, va, budget, nil, &r, w.trk, true)
+	TraceEnd(w.trk, &r)
 	return r
 }
