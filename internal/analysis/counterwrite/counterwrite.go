@@ -1,7 +1,7 @@
 // Package counterwrite flags direct writes to fields of types declared
 // in internal/perf from any other package. All counter and event
 // bookkeeping must flow through the perf API (Counters.Inc/Add,
-// Group.Enable/Disable, Sampler.Offer): the Eq. 1 WCPI identity and the
+// Sampler.Offer): the Eq. 1 WCPI identity and the
 // walk_duration = guest + ept split are arithmetic over those entry
 // points, and a stray `g.acc[e]++` or `row.Instructions = 0` elsewhere
 // bypasses the invariant checks that guard them. Today most perf state

@@ -4,7 +4,7 @@
 //
 // The repo leans hard on object reuse — machinePool recycles whole
 // simulated machines, walkers and TLBs are Reset between campaign
-// sweeps, perf groups between measurement windows. A field that Reset
+// sweeps, cpu cores between measured regions. A field that Reset
 // misses is state leaking from one tenant, sweep, or measurement into
 // the next: exactly the class of bug that corrupts results without
 // failing any functional test (the counters are plausible, just wrong).
@@ -23,8 +23,9 @@
 //     that build the value don't count against it.)
 //
 //   - An //atlint:noreset <why> exemption on the field records an
-//     intentional survivor — perf.Group.enabled survives Reset because
-//     PERF_EVENT_IOC_RESET clears counts, not enablement.
+//     intentional survivor — mmucache's levelCache.clock survives Flush
+//     because an OS flush empties the paging-structure caches without
+//     rewinding their replacement age.
 //
 // Exemptions that no longer bite (the field became covered or
 // immutable, or the type lost its Reset) are themselves reported, so
@@ -46,7 +47,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "resetdiscipline",
 	Doc: "Reset/Renew methods must reinitialize every mutable field\n\n" +
-		"Pooled objects (machines, walkers, TLBs, perf groups) are reused across\n" +
+		"Pooled objects (machines, walkers, TLBs, cpu cores) are reused across\n" +
 		"tenants and sweeps; a field Reset misses leaks state between runs and\n" +
 		"skews counters silently. Every field a method mutates must be assigned\n" +
 		"by Reset (directly or via helpers) or carry //atlint:noreset <why>.",

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// fakeSource simulates a live PMU the test advances by hand.
+type fakeSource struct{ c Counters }
+
+func (f *fakeSource) read() Counters { return f.c.Snapshot() }
+
 func TestIntervalReaderWindows(t *testing.T) {
 	src := &fakeSource{}
 	src.c.Add(InstRetired, 50) // pre-existing state: stream starts here
