@@ -210,6 +210,42 @@ func TestForEachUnitFirstError(t *testing.T) {
 	}
 }
 
+// TestForEachUnitStartsInIndexOrder: the scheduler hands out pool slots
+// in index order, so under Parallelism 2 unit 0 is among the first two
+// units entered — no unit past index 1 starts before it. Unit 1 waits
+// for unit 0, so no slot frees before unit 0 is in. Spawning every unit
+// up front and letting them race for slots started unit 0 behind others,
+// which is what let TestForEachUnitFirstError run more than half its
+// units; the trials make that interleaving show.
+func TestForEachUnitStartsInIndexOrder(t *testing.T) {
+	for trial := 0; trial < 100; trial++ {
+		cfg := RunConfig{Parallelism: 2}
+		unit0 := make(chan struct{})
+		var early atomic.Int64 // units past index 1 that entered before unit 0
+		err := forEachUnit(&cfg, 64, func(i int) error {
+			switch {
+			case i == 0:
+				close(unit0)
+			case i == 1:
+				<-unit0
+			default:
+				select {
+				case <-unit0:
+				default:
+					early.Add(1)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := early.Load(); n > 0 {
+			t.Fatalf("trial %d: %d units past index 1 entered before unit 0", trial, n)
+		}
+	}
+}
+
 var errUnit = &unitError{}
 
 type unitError struct{}

@@ -95,10 +95,12 @@ func (l limiter) release() { <-l }
 // forEachUnit executes fn(0..n-1) on the config's worker pool and returns
 // the first error. With Parallelism 1 the units run in index order on the
 // calling goroutine, exactly like the pre-scheduler serial loops. With a
-// larger pool, units run concurrently (bounded by the session-shared pool
-// when the config came from a session); after the first error no new unit
-// starts, in-flight units drain, and the error is returned — a unit's
-// result is only meaningful if forEachUnit returned nil.
+// larger pool, one loop takes a pool slot for each unit in index order
+// before spawning it (the pool is session-shared when the config came from
+// a session), so no unit waits behind a later one for a slot. After the
+// first error no new unit starts, in-flight units drain, and the error is
+// returned — a unit's result is only meaningful if forEachUnit returned
+// nil.
 func forEachUnit(cfg *RunConfig, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -145,15 +147,16 @@ func forEachUnit(cfg *RunConfig, n int, fn func(i int) error) error {
 		defer mu.Unlock()
 		return firstErr != nil
 	}
-	wg.Add(n)
 	for i := 0; i < n; i++ {
+		pool.acquire()
+		if failed() {
+			pool.release()
+			break // cancelled: an earlier unit errored
+		}
+		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pool.acquire()
 			defer pool.release()
-			if failed() {
-				return // cancelled: an earlier unit errored
-			}
 			cfg.Monitor.WorkerBusy()
 			defer cfg.Monitor.WorkerIdle()
 			if err := fn(i); err != nil {
