@@ -22,7 +22,6 @@ import (
 	"atscale/internal/arch"
 	"atscale/internal/core"
 	"atscale/internal/perf"
-	"atscale/internal/scheme"
 	"atscale/internal/workloads"
 	_ "atscale/internal/workloads/all"
 )
@@ -44,13 +43,8 @@ func run() error {
 		par    = flag.Int("p", 0, "max concurrent simulations with -pages all (0: one per core)")
 		all    = flag.Bool("counters", true, "print the full counter listing")
 		events = flag.String("e", "", "comma-separated event names to print (perf spellings); overrides -counters")
-
-		virt       = flag.Bool("virt", false, "run under nested paging (guest tables over a host EPT)")
-		guestPages = flag.String("guest-pages", "", "with -virt: guest page size (4KB|2MB|1GB); overrides -pages")
-		eptPages   = flag.String("ept-pages", "4KB", "with -virt: EPT leaf size (4KB|2MB|1GB)")
-		schemeName = flag.String("scheme", "", "translation scheme: "+strings.Join(scheme.Names(), "|")+" (default radix)")
-		numaNodes  = flag.Int("numa-nodes", 0, "NUMA nodes (0/1: UMA; mitosis defaults to 2)")
 	)
+	sysFlags := core.RegisterSystemFlags(flag.CommandLine)
 	flag.Parse()
 
 	spec, err := workloads.ByName(*name)
@@ -64,29 +58,9 @@ func run() error {
 	cfg.Budget = *budget
 	cfg.Seed = *seed
 	cfg.Parallelism = *par
-	if *virt {
-		cfg.System.Virt = arch.DefaultVirt()
-		cfg.System.Virt.EPTPages, err = arch.ParsePageSize(*eptPages)
-		if err != nil {
-			return fmt.Errorf("-ept-pages: %w", err)
-		}
-		if *guestPages != "" {
-			*pages = *guestPages
-		}
-	} else if *guestPages != "" {
-		return fmt.Errorf("-guest-pages requires -virt (use -pages for the native policy)")
+	if err := sysFlags.Apply(&cfg, pages); err != nil {
+		return err
 	}
-	if *schemeName != "" {
-		if _, err := scheme.ByName(*schemeName); err != nil {
-			return err
-		}
-		cfg.System.Scheme = *schemeName
-	}
-	nodes := *numaNodes
-	if nodes == 0 && cfg.System.Scheme == "mitosis" {
-		nodes = 2
-	}
-	cfg.System.NUMA.Nodes = nodes
 
 	if *pages == "all" {
 		return measureAllPages(&cfg, spec, *param)
@@ -100,7 +74,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *virt {
+	if cfg.System.Virt.Enabled {
 		fmt.Printf("workload %s  param %d  guest pages %s  EPT pages %s  footprint %s\n\n",
 			r.Workload, r.Param, r.PageSize, cfg.System.Virt.EPTPages, arch.FormatBytes(r.Footprint))
 	} else {
@@ -120,7 +94,7 @@ func run() error {
 		fmt.Print(r.Counters.Format())
 	}
 	fmt.Print("\n" + r.Metrics.FormatDerived())
-	if *virt {
+	if cfg.System.Virt.Enabled {
 		fmt.Print("\n" + r.Metrics.FormatVirt(r.Counters.Get(perf.EPTWalkCompleted)))
 	}
 	return nil

@@ -33,10 +33,8 @@ import (
 	"strings"
 	"sync"
 
-	"atscale/internal/arch"
 	"atscale/internal/core"
 	"atscale/internal/refute"
-	"atscale/internal/scheme"
 	"atscale/internal/telemetry"
 	"atscale/internal/workloads"
 	_ "atscale/internal/workloads/all"
@@ -61,20 +59,16 @@ func run() error {
 		csvDir     = flag.String("csv", "", "also write each experiment's data as <dir>/<id>.csv")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at campaign end to this file")
-		virt       = flag.Bool("virt", false, "run every simulation under nested paging (guest tables over a host EPT)")
-		guestPages = flag.String("guest-pages", "", "with -virt: pin the guest page size (4KB|2MB|1GB), overriding each experiment's policy axis")
-		eptPages   = flag.String("ept-pages", "4KB", "with -virt: EPT leaf size (4KB|2MB|1GB)")
 		runIDs     = flag.String("run", "", "experiment id(s) to run, comma-separated (alternative to positional ids)")
 		timeline   = flag.String("timeline", "", "write the campaign's deterministic timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		tlVerify   = flag.Bool("timeline-verify", false, "validate the exported timeline's structure after writing it (requires -timeline)")
 		telem      = flag.String("telemetry", "", `live campaign telemetry: "stderr" for JSONL heartbeats, or a listen address (e.g. :8344) for an HTTP /stats endpoint`)
 		refuteOn   = flag.Bool("refute", false, "check the counter-identity registry on every run unit; print the refutation report and exit nonzero on any violation")
 		refuteOut  = flag.String("refute-out", "", "with -refute: also write the refutation report as JSON to this file")
-		schemeName = flag.String("scheme", "", "translation scheme for every simulation: "+strings.Join(scheme.Names(), "|")+" (default radix)")
-		numaNodes  = flag.Int("numa-nodes", 0, "NUMA nodes (0/1: UMA; >1 enables the NUMA memory model and the deterministic migration schedule; mitosis defaults to 2)")
 		topdownOn  = flag.Bool("topdown", false, "collect per-unit counter deltas and print the top-down cycle attribution tree (campaign-wide plus per scheme group)")
 		topdownAB  = flag.String("topdown-diff", "", `signed attribution delta between two scheme groups, as "A,B" (e.g. radix,victima with the schemes experiment)`)
 	)
+	sysFlags := core.RegisterSystemFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -140,33 +134,9 @@ func run() error {
 	cfg.Budget = *budget
 	cfg.Seed = *seed
 	cfg.Parallelism = *par
-	if *virt {
-		cfg.System.Virt = arch.DefaultVirt()
-		cfg.System.Virt.EPTPages, err = arch.ParsePageSize(*eptPages)
-		if err != nil {
-			return fmt.Errorf("-ept-pages: %w", err)
-		}
-	} else if *guestPages != "" {
-		return fmt.Errorf("-guest-pages requires -virt (native runs take the experiments' own page-size policies)")
+	if err := sysFlags.Apply(&cfg, nil); err != nil {
+		return err
 	}
-	if *guestPages != "" {
-		gp, err := arch.ParsePageSize(*guestPages)
-		if err != nil {
-			return fmt.Errorf("-guest-pages: %w", err)
-		}
-		cfg.GuestPages = &gp
-	}
-	if *schemeName != "" {
-		if _, err := scheme.ByName(*schemeName); err != nil {
-			return err
-		}
-		cfg.System.Scheme = *schemeName
-	}
-	nodes := *numaNodes
-	if nodes == 0 && cfg.System.Scheme == "mitosis" {
-		nodes = 2 // mitosis is meaningless on UMA; default it to two nodes
-	}
-	cfg.System.NUMA.Nodes = nodes
 	if !*quiet {
 		cfg.Log = os.Stderr
 	}
